@@ -2,26 +2,33 @@
 
 Every end-to-end metric is built as a :class:`Metric` that carries the
 evidence behind it: its sample count, the seconds of timed work it
-covers and, for a percentile, which one.  :func:`check_metric` refuses
-a metric whose timed window is below its floor or whose percentile has
-fewer than :data:`MIN_BEYOND` samples beyond it.
+covers and, for a percentile or a fast time, which one and how many
+repeats.  :func:`check_metric` refuses a metric whose timed window is
+below its floor, whose percentile has fewer than :data:`MIN_BEYOND`
+samples on either side, or whose fast time rests on a unit repeated
+fewer than :data:`MIN_REPEATS` times.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-#: A percentile needs at least this many samples above it.
+#: A percentile needs at least this many samples on each side of it.
 MIN_BEYOND = 10
+#: A fast time is the lower 2nd percentile of a unit's repeat times.
+FAST_QUANTILE = 0.02
+#: Least number of repeats behind every unit of a fast time.
+MIN_REPEATS = 5
 #: Least timed work (seconds) behind a throughput or latency metric.
 WINDOW_FLOOR_S = 5.0
 #: Least timed work (seconds) behind ``setup_s``.  Set-up is a median
@@ -42,36 +49,54 @@ class Metric:
     unit: str
     samples: int
     window_s: Optional[float]
+    #: Percentile of the samples the value is (``None``: not a percentile).
     percentile: Optional[float] = None
-    #: Samples per segment a percentile is taken over (``None``: all).
-    segment: Optional[int] = None
+    #: Fewest repeats of any unit behind a fast time (``None``: no units).
+    repeats: Optional[int] = None
     note: str = ""
 
 
-def latency_metric(
-    name: str, seconds: Sequence[float], q: float, segment: int, note: str
-) -> Metric:
-    """Percentile ``q`` of per-call latencies, in ms, averaged over segments.
+def fast_time(seconds: Sequence[float]) -> float:
+    """The lower 2nd percentile of one unit's repeat times.
 
-    The samples are cut into consecutive segments of ``segment`` calls
-    (an incomplete last segment is dropped).  The value is the mean over
-    segments of each segment's percentile.  The machine drifts between
-    fast and slow phases that last seconds to minutes; an order
-    statistic over the whole run jumps between those phases, while the
-    mean of per-segment percentiles moves in proportion to the time
-    spent in each.
+    That is the ``ceil(n / 50)``-th fastest of ``n`` repeats: the
+    fastest of up to 50, the second fastest of up to 100, and so on.
     """
+    ordered = sorted(seconds)
+    return ordered[max(1, math.ceil(len(ordered) * FAST_QUANTILE)) - 1]
+
+
+def fast_cycle(units: Mapping[Any, Sequence[float]]) -> Metric:
+    """The summed fast times of every unit of a workload's cycle, in s.
+
+    A cycle is one repeat of each unit.  The host alternates between a
+    fast mode and a mode about 1.5 times slower, in phases that last
+    seconds to minutes; a mean or median over a run moves with the share
+    of the run spent in each.  The fast time of a unit that repeats
+    every few hundred milliseconds or faster sits in the fast mode as
+    long as the run holds a few fast cycles.
+    """
+    times = [list(t) for t in units.values()]
+    return Metric(
+        name="fast_cycle",
+        value=float(sum(fast_time(t) for t in times)) if times else 0.0,
+        unit="s",
+        samples=sum(len(t) for t in times),
+        window_s=float(sum(sum(t) for t in times)),
+        repeats=min((len(t) for t in times), default=0),
+    )
+
+
+def percentile_metric(name: str, seconds: Sequence[float], q: float, note: str) -> Metric:
+    """Percentile ``q`` of per-call latencies, in ms."""
     values = np.asarray(seconds, dtype=float)
-    count = len(values) // segment
-    per_segment = np.percentile(values[: count * segment].reshape(count, segment), q, axis=1)
     return Metric(
         name=name,
-        value=float(per_segment.mean()) * 1e3 if count else 0.0,
+        value=float(np.percentile(values, q)) * 1e3 if len(values) else 0.0,
         unit="ms",
         samples=len(values),
         window_s=float(values.sum()),
         percentile=q,
-        segment=segment,
         note=note,
     )
 
@@ -85,24 +110,19 @@ def check_metric(metric: Metric) -> None:
                 f"{metric.name}: timed window {metric.window_s:.2f} s is below "
                 f"its {floor} s floor"
             )
-    if metric.name == "setup_s":
-        if metric.samples < MIN_SETUPS:
+    if metric.name == "setup_s" and metric.samples < MIN_SETUPS:
+        raise MetricRuleError(f"setup_s: median of {metric.samples} set-ups, need {MIN_SETUPS}")
+    if metric.percentile is not None:
+        side = metric.samples * min(metric.percentile, 100.0 - metric.percentile) / 100.0
+        if side < MIN_BEYOND:
             raise MetricRuleError(
-                f"setup_s: median of {metric.samples} set-ups, need {MIN_SETUPS}"
+                f"{metric.name}: p{metric.percentile:g} of {metric.samples} samples "
+                f"has {side:.1f} on one side, need {MIN_BEYOND}"
             )
-    elif metric.percentile is not None:
-        per_percentile = metric.segment or metric.samples
-        beyond = per_percentile * (100.0 - metric.percentile) / 100.0
-        if beyond < MIN_BEYOND:
-            raise MetricRuleError(
-                f"{metric.name}: p{metric.percentile:g} of {per_percentile} samples "
-                f"has {beyond:.1f} beyond it, need {MIN_BEYOND}"
-            )
-        if metric.segment and metric.samples < metric.segment:
-            raise MetricRuleError(
-                f"{metric.name}: {metric.samples} samples do not fill one segment "
-                f"of {metric.segment}"
-            )
+    if metric.repeats is not None and metric.repeats < MIN_REPEATS:
+        raise MetricRuleError(
+            f"{metric.name}: a unit repeated {metric.repeats} times, need {MIN_REPEATS}"
+        )
     if not metric.value > 0:
         raise MetricRuleError(f"{metric.name}: value {metric.value!r} is not positive")
 

@@ -23,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
@@ -36,8 +37,6 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 WORKLOAD_NAMES = ("serve-churn", "solo-session", "paper-sweep")
-#: A workload process that runs longer than this is killed.
-CHILD_TIMEOUT_S = 170
 
 
 def _declared(kind: str) -> dict:
@@ -48,17 +47,16 @@ def _declared(kind: str) -> dict:
 def _end_to_end(workload, window, rules) -> list:
     Metric = rules.Metric
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    cycle = rules.fast_cycle(window.units)
     return [
         Metric("setup_s", rules.median(window.setups), "s", len(window.setups),
                float(sum(window.setups)), note=workload.setup),
-        Metric("work_per_s", _ratio(window.work, window.work_s), "1/s", window.work,
-               window.work_s,
-               note=f"{workload.work_unit} per second of timed work"),
-        rules.latency_metric("latency_p50_ms", window.latencies, 50.0, workload.segment,
-                             note=f"median {workload.call}, mean over segments"),
-        rules.latency_metric("latency_tail_ms", window.latencies, workload.tail,
-                             workload.segment,
-                             note=f"p{workload.tail:g} {workload.call}, mean over segments"),
+        dataclasses.replace(
+            cycle, name="work_per_s", value=_ratio(window.cycle_work(), cycle.value),
+            unit="1/s",
+            note=f"{workload.work_unit} of one cycle / summed fast times of its "
+                 f"{len(window.units)} units"),
+        workload.latency(window),
         Metric("peak_rss_mib", rss_mib, "MiB", 1, None, note="ru_maxrss of the process"),
     ]
 
@@ -124,24 +122,24 @@ def run_one(args) -> int:
     attempted = failed = 0
     crashed = False
     try:
-        workload = workloads.WORKLOADS[args.workload](args.seed, workdir, bool(args.trace))
-        workload.warm_up()
+        workload = workloads.WORKLOADS[args.workload](args.seed, workdir)
+        workload.prepare()
         if args.trace:
             # Untraced and traced quarters alternate, so machine drift
             # during the run weighs on both sides of the overhead alike.
             base, window = workloads.Window(), workloads.Window()
             tracer = tracing.Tracer()
             for _ in range(2):
-                base.absorb(workload.measure(args.seconds / 4, None))
+                base.absorb(workload.measure(args.seconds / 4, None, 1))
                 tracer.install()
                 try:
-                    window.absorb(workload.measure(args.seconds / 4, tracer))
+                    window.absorb(workload.measure(args.seconds / 4, tracer, 1))
                 finally:
                     tracer.uninstall()
             attempted += base.attempted
             failed += base.failed
         else:
-            window = workload.measure(args.seconds, None)
+            window = workload.measure(args.seconds, None, rules.MIN_REPEATS)
         attempted += window.attempted
         failed += window.failed
         checked, mismatched = workload.check()
@@ -182,9 +180,9 @@ def run_one(args) -> int:
         for metric in built:
             metrics[metric.name] = {"value": metric.value, "unit": metric.unit}
             window_text = "" if metric.window_s is None else f", {metric.window_s:.2f} s timed"
-            segment_text = f" in segments of {metric.segment}" if metric.segment else ""
-            print(f"  {metric.name:<16} {metric.value:>12.6g} {metric.unit:<4} "
-                  f"({metric.note}; n={metric.samples}{segment_text}{window_text})")
+            repeats_text = "" if metric.repeats is None else f", >={metric.repeats} per unit"
+            print(f"  {metric.name:<14} {metric.value:>12.6g} {metric.unit:<4} "
+                  f"({metric.note}; n={metric.samples}{repeats_text}{window_text})")
     if not crashed and set(metrics) != set(declared):
         print(f"perfbench: metrics {sorted(metrics)} differ from BENCHMARK.json "
               f"{sorted(declared)}", file=sys.stderr)
@@ -200,31 +198,48 @@ def run_one(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _child_timeout(seconds: float) -> float:
+    """Seconds a workload process may run: prepare, measure and check."""
+    return 3 * seconds + 120
+
+
 def run_all(args) -> int:
     """Each workload in a fresh process; exit non-zero if any fails."""
-    status = 0
     summary = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for name in WORKLOAD_NAMES:
         argv = [sys.executable, str(Path(__file__).resolve()), "--workload", name,
                 "--seed", str(args.seed), "--seconds", str(args.seconds),
                 "--trace", str(args.trace)]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True,
+                                  timeout=_child_timeout(args.seconds))
+        except subprocess.TimeoutExpired as exc:
+            print(f"perfbench: {name} ran past {exc.timeout:g} s and was killed",
+                  file=sys.stderr)
+            summary["correct"] = False
+            summary["attempted"] += 1
+            summary["failed"] += 1
+            continue
         sys.stderr.write(proc.stderr)
         lines = proc.stdout.strip().splitlines()
-        print("\n".join(lines[:-1]))
-        if proc.returncode != 0 or not lines:
+        try:
+            result = json.loads(lines[-1])
+            print("\n".join(lines[:-1]))
+        except (IndexError, json.JSONDecodeError):
+            print("\n".join(lines))
+            result = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+        if proc.returncode != 0:
             print(f"perfbench: {name} exited with {proc.returncode}", file=sys.stderr)
-            status = 1
-            summary["correct"] = False
-            continue
-        result = json.loads(lines[-1])
+            result["correct"] = False
+            result["failed"] = max(result["failed"], 1)
+            result["attempted"] = max(result["attempted"], result["failed"])
         summary["correct"] &= result["correct"]
         summary["attempted"] += result["attempted"]
         summary["failed"] += result["failed"]
         for metric, value in result["metrics"].items():
             summary["metrics"][f"{name}/{metric}"] = value
     print(json.dumps(summary))
-    return status
+    return 0 if summary["correct"] else 1
 
 
 def main(argv=None) -> int:
